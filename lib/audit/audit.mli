@@ -92,7 +92,9 @@ val sample :
 (** Build one sample from a plan: runs the simulator, the TTGT model, the
     exact transaction counters and — unless [measured] is supplied (the
     serving layer computes it once per distinct key, inside the pooled
-    generation fan-out) — the interpreter's counter-only replay.  [own]
+    generation fan-out) — the interpreter's counter-only replay
+    ({!Cogent.Interp.measure}: one representative block and step per
+    boundary class, weighted by the class multiplicity).  [own]
     defaults to the plan's own (representative) problem, making regret 0. *)
 
 (** {1 Collecting} *)

@@ -31,6 +31,27 @@ let axes_of_bindings problem bindings =
       })
     bindings
 
+(* Boundary classes of one axis as (representative coordinate,
+   multiplicity): every chunk but the last cuts a full tile, so the cut
+   [min tile (extent - coord * tile)] takes at most two values — the full
+   tile on coordinates 0 .. chunks-2 and the remainder on chunks-1.
+   Extents are positive, so every multiplicity is at least 1. *)
+let axis_classes ax =
+  if ax.extent mod ax.tile = 0 || ax.chunks = 1 then [ (0, ax.chunks) ]
+  else [ (0, ax.chunks - 1); (ax.chunks - 1, 1) ]
+
+(* The product of per-axis classes: representative coordinate vectors
+   (axis order) with the product of their multiplicities. *)
+let class_product axes =
+  List.fold_right
+    (fun ax rest ->
+      List.concat_map
+        (fun (coord, m) ->
+          List.map (fun (coords, mr) -> (coord :: coords, m * mr)) rest)
+        (axis_classes ax))
+    axes [ ([], 1) ]
+  |> List.map (fun (coords, m) -> (Array.of_list coords, m))
+
 type counters = {
   mutable tx_lhs : float;
   mutable tx_rhs : float;
@@ -56,19 +77,19 @@ let create_counters () =
     steps = 0;
   }
 
-(* Replay the emitted schedule's memory accesses block by block and tally
-   hardware counters.  The walk is value-independent (addresses and guards
-   only depend on the plan), so [execute] runs it once next to the data
-   pass.  Loads follow the cooperative padded sweep of the generated CUDA
-   (operand layout order, waves of [threads] lanes, guards masking
-   out-of-range lanes); stores are one wave of the whole thread block per
-   register coordinate; both are costed with {!Txcount.staged_sweep}. *)
+(* Replay the emitted schedule's memory accesses and tally hardware
+   counters, one representative block and step per boundary class.  The
+   walk is value-independent (addresses and guards only depend on the
+   plan), so [execute] runs it once next to the data pass.  Loads follow
+   the cooperative padded sweep of the generated CUDA (operand layout
+   order, waves of [threads] lanes, guards masking out-of-range lanes);
+   stores are one wave of the whole thread block per register coordinate;
+   both are costed with {!Txcount.staged_sweep}. *)
 let measure_into (c : counters) (plan : Plan.t) =
   let problem = plan.Plan.problem in
   let mapping = plan.Plan.mapping in
   let prec = plan.Plan.precision in
   let ept = Tc_gpu.Precision.elems_per_transaction prec in
-  let elt_bytes = float_of_int (Tc_gpu.Precision.bytes prec) in
   let width = Mapping.threads_per_block mapping in
   let tbx = axes_of_bindings problem mapping.Mapping.tbx in
   let regx = axes_of_bindings problem mapping.Mapping.regx in
@@ -83,12 +104,8 @@ let measure_into (c : counters) (plan : Plan.t) =
       mapping.Mapping.grid
   in
   let block_axes = tbx @ regx @ tby @ regy @ grid_axes in
-  let block_radices =
-    Array.of_list (List.map (fun ax -> ax.chunks) block_axes)
-  in
-  let num_blocks = Array.fold_left ( * ) 1 block_radices in
-  let step_radices = Array.of_list (List.map (fun ax -> ax.chunks) tbk) in
-  let num_steps = Array.fold_left ( * ) 1 step_radices in
+  let count_chunks = List.fold_left (fun n ax -> n * ax.chunks) 1 in
+  let num_blocks = count_chunks block_axes and num_steps = count_chunks tbk in
   (* Locate an index's coordinate slot: (true, k) for the k-th block axis,
      (false, k) for the k-th step (tbk) axis. *)
   let locate i =
@@ -165,58 +182,67 @@ let measure_into (c : counters) (plan : Plan.t) =
   let cut_prod bcoords axes =
     Array.fold_left (fun a d -> a * cut_of bcoords d) 1 axes
   in
-  let smem_step =
-    float_of_int (Mapping.smem_elems mapping) *. elt_bytes
-  in
-  let fma_slots_step =
-    float_of_int width
-    *. float_of_int (Mapping.size_regx mapping)
-    *. float_of_int (Mapping.size_regy mapping)
-    *. float_of_int (Mapping.size_tbk mapping)
-  in
+  let size_regx = Mapping.size_regx mapping
+  and size_regy = Mapping.size_regy mapping
+  and size_tbk = Mapping.size_tbk mapping in
   let tbk_arr =
     Array.of_list (List.map (fun ax -> (ax.tile, ax.extent)) tbk)
   in
-  let bcoords = Array.make (Array.length block_radices) 0 in
-  let scoords = Array.make (Array.length step_radices) 0 in
-  for block = 0 to num_blocks - 1 do
-    decompose_into bcoords block block_radices;
-    let xcount = float_of_int (cut_prod bcoords x_axes)
-    and ycount = float_of_int (cut_prod bcoords y_axes) in
-    for step = 0 to num_steps - 1 do
-      decompose_into scoords step step_radices;
-      c.tx_lhs <-
-        c.tx_lhs
-        +. float_of_int
-             (Txcount.staged_sweep ~width ~ept
-                (cut_axes lhs_axes bcoords scoords));
-      c.tx_rhs <-
-        c.tx_rhs
-        +. float_of_int
-             (Txcount.staged_sweep ~width ~ept
-                (cut_axes rhs_axes bcoords scoords));
-      c.smem_bytes <- c.smem_bytes +. smem_step;
-      c.fma_padded <- c.fma_padded +. fma_slots_step;
-      let kcount = ref 1 in
-      Array.iteri
-        (fun k (tile, extent) ->
-          kcount := !kcount * min tile (extent - (scoords.(k) * tile)))
-        tbk_arr;
-      c.fma_useful <-
-        c.fma_useful +. (xcount *. ycount *. float_of_int !kcount)
-    done;
-    let thread_axes =
-      Array.map
-        (fun (tile, extent, stride, slot) ->
-          { Txcount.tile; cut = cut_of bcoords (tile, extent, slot); stride })
-        store_axes
-    in
-    let wave = Txcount.staged_sweep ~width ~ept thread_axes in
-    let regs = cut_prod bcoords reg_axes in
-    let block_tx = float_of_int (wave * regs) in
-    c.tx_out <- c.tx_out +. block_tx;
-    if block_tx > c.store_tx_block_max then c.store_tx_block_max <- block_tx
-  done;
+  (* A coordinate enters the replay only through its per-axis cuts, so
+     the per-step body runs once per (block class, step class) pair on
+     representative coordinates, weighted by the pair's multiplicity.
+     Counts are multiplied as ints and converted once per term: every
+     float sum stays an exact integer, bit-identical to walking every
+     (block, step) pair. *)
+  let step_classes = class_product tbk in
+  List.iter
+    (fun (bcoords, bmult) ->
+      let xcount = cut_prod bcoords x_axes
+      and ycount = cut_prod bcoords y_axes in
+      List.iter
+        (fun (scoords, smult) ->
+          let w = bmult * smult in
+          c.tx_lhs <-
+            c.tx_lhs
+            +. float_of_int
+                 (w
+                 * Txcount.staged_sweep ~width ~ept
+                     (cut_axes lhs_axes bcoords scoords));
+          c.tx_rhs <-
+            c.tx_rhs
+            +. float_of_int
+                 (w
+                 * Txcount.staged_sweep ~width ~ept
+                     (cut_axes rhs_axes bcoords scoords));
+          let kcount = ref 1 in
+          Array.iteri
+            (fun k (tile, extent) ->
+              kcount := !kcount * min tile (extent - (scoords.(k) * tile)))
+            tbk_arr;
+          c.fma_useful <-
+            c.fma_useful +. float_of_int (w * xcount * ycount * !kcount))
+        step_classes;
+      let thread_axes =
+        Array.map
+          (fun (tile, extent, stride, slot) ->
+            { Txcount.tile; cut = cut_of bcoords (tile, extent, slot); stride })
+          store_axes
+      in
+      let wave = Txcount.staged_sweep ~width ~ept thread_axes in
+      let block_tx = wave * cut_prod bcoords reg_axes in
+      c.tx_out <- c.tx_out +. float_of_int (bmult * block_tx);
+      (* every class has multiplicity >= 1, so each is a real block *)
+      let block_tx = float_of_int block_tx in
+      if block_tx > c.store_tx_block_max then c.store_tx_block_max <- block_tx)
+    (class_product block_axes);
+  let pairs = num_blocks * num_steps in
+  c.smem_bytes <-
+    c.smem_bytes
+    +. float_of_int
+         (Mapping.smem_elems mapping * Tc_gpu.Precision.bytes prec * pairs);
+  c.fma_padded <-
+    c.fma_padded
+    +. float_of_int (width * size_regx * size_regy * size_tbk * pairs);
   c.blocks <- c.blocks + num_blocks;
   c.steps <- c.steps + num_steps
 

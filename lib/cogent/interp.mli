@@ -43,14 +43,29 @@ val execute :
 (** [execute plan ~lhs ~rhs] contracts the tensors given {e as written} in
     the original expression (any lhs/rhs canonicalization swap is resolved
     internally) and returns the output tensor in its declared layout.
-    When [counters] is given, the exact memory-access sequence of the
-    emitted schedule is replayed alongside the data pass and tallied into
-    it (the replay is value-independent, so it runs once per execution).
+    When [counters] is given, the emitted schedule's memory accesses are
+    replayed alongside the data pass and tallied into it, exactly as
+    {!measure_into} does (the replay is value-independent, so it runs once
+    per execution).
     @raise Invalid_argument if a tensor's shape does not match the plan's
     problem. *)
 
+val measure_into : counters -> Plan.t -> unit
+(** [measure_into c plan] is the counter-only replay of the emitted
+    schedule, added into [c]: it allocates and touches no tensor data, so
+    it is usable at full TCCG problem sizes where a data execution would
+    be prohibitive.
+
+    A block or step coordinate enters the tally only through its per-axis
+    cuts, and on each tiled axis the cut takes at most two values: the
+    full tile or the one remainder tile (grid axes have tile 1 and are
+    always full).  The replay therefore runs the per-step sweep once per
+    (block class, step class) pair, on one representative coordinate
+    vector per class, and weights it by the class multiplicity;
+    [store_tx_block_max] is the largest representative's store traffic.
+    Counts are multiplied as integers, so the totals equal a walk over
+    every (block, step) pair bit for bit — the brute walk is kept in the
+    test suite as this function's oracle. *)
+
 val measure : Plan.t -> counters
-(** [measure plan] is the counter-only replay: the same per-(block, step)
-    schedule walk [execute ~counters] performs, without allocating or
-    touching tensor data — usable at full TCCG problem sizes where a data
-    execution would be prohibitive. *)
+(** [measure plan] is {!measure_into} on fresh counters. *)

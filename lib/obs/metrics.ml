@@ -3,6 +3,8 @@ type hist = {
   counts : int array;  (* per-bucket (non-cumulative) *)
   mutable sum : float;
   mutable n : int;
+  mutable min : float;  (* infinity while empty *)
+  mutable max : float;  (* neg_infinity while empty *)
 }
 
 type instrument =
@@ -77,7 +79,14 @@ let histogram ?(registry = global) ?(buckets = default_buckets) name =
   register registry name
     (fun () ->
       let h =
-        { bounds; counts = Array.make (Array.length bounds) 0; sum = 0.0; n = 0 }
+        {
+          bounds;
+          counts = Array.make (Array.length bounds) 0;
+          sum = 0.0;
+          n = 0;
+          min = Float.infinity;
+          max = Float.neg_infinity;
+        }
       in
       (Ihist h, { h_lock = registry.lock; h }))
     (function
@@ -94,7 +103,9 @@ let observe hg v =
       let k = slot 0 in
       h.counts.(k) <- h.counts.(k) + 1;
       h.sum <- h.sum +. v;
-      h.n <- h.n + 1)
+      h.n <- h.n + 1;
+      h.min <- Float.min h.min v;
+      h.max <- Float.max h.max v)
 
 type item =
   | Counter_v of { name : string; value : float }
@@ -103,6 +114,8 @@ type item =
       name : string;
       count : int;
       sum : float;
+      min : float;
+      max : float;
       buckets : (float * int) list;
     }
 
@@ -125,7 +138,9 @@ let snapshot registry =
                          (bound, !acc_count))
                        h.bounds)
                 in
-                Histogram_v { name; count = h.n; sum = h.sum; buckets }
+                Histogram_v
+                  { name; count = h.n; sum = h.sum; min = h.min; max = h.max;
+                    buckets }
           in
           item :: acc)
         registry.table []
@@ -153,14 +168,16 @@ let reset registry =
           | Ihist h ->
               Array.fill h.counts 0 (Array.length h.counts) 0;
               h.sum <- 0.0;
-              h.n <- 0)
+              h.n <- 0;
+              h.min <- Float.infinity;
+              h.max <- Float.neg_infinity)
         registry.table)
 
 (* ---- quantiles: a pure function of the snapshot ---- *)
 
 let quantile item q =
   match item with
-  | Histogram_v { count; buckets; _ } when count > 0 ->
+  | Histogram_v { count; min; max; buckets; _ } when count > 0 ->
       let q = Float.max 0.0 (Float.min 1.0 q) in
       let rank = q *. float_of_int count in
       let lower0 =
@@ -185,7 +202,11 @@ let quantile item q =
               else Some lower
             else go (if Float.is_finite bound then bound else lower) cum rest
       in
-      if rank <= 0.0 then Some lower0 else go lower0 0 buckets
+      (* Interpolation can land outside the observed range (a p99 above
+         every observation); no quantile may. *)
+      let clamp v = Float.max min (Float.min max v) in
+      Option.map clamp
+        (if rank <= 0.0 then Some lower0 else go lower0 0 buckets)
   | _ -> None
 
 let summary_points = [ 0.5; 0.9; 0.99 ]
@@ -229,7 +250,7 @@ let to_prometheus items =
           let n = prometheus_name name in
           Printf.bprintf buf "# TYPE %s gauge\n%s %s\n" n n
             (prometheus_float value)
-      | Histogram_v { name; count; sum; buckets } ->
+      | Histogram_v { name; count; sum; buckets; _ } ->
           let n = prometheus_name name in
           Printf.bprintf buf "# TYPE %s histogram\n" n;
           List.iter
@@ -252,7 +273,7 @@ let to_json items =
          | Gauge_v { name; value } ->
              (name, Json.Obj [ ("type", Json.String "gauge");
                                ("value", Json.Float value) ])
-         | Histogram_v { name; count; sum; buckets } ->
+         | Histogram_v { name; count; sum; buckets; _ } ->
              ( name,
                Json.Obj
                  [

@@ -47,6 +47,8 @@ type item =
       name : string;
       count : int;
       sum : float;
+      min : float;  (** smallest observation; [infinity] when empty *)
+      max : float;  (** largest observation; [neg_infinity] when empty *)
       buckets : (float * int) list;
           (** (upper bound, cumulative count); last bound is [infinity] *)
     }
@@ -64,7 +66,9 @@ val quantile : item -> float -> float option
 (** [quantile h q] estimates the [q]-quantile ([0..1]) of a
     [Histogram_v] by linear interpolation inside the bucket containing
     the target rank (Prometheus [histogram_quantile] semantics; the
-    overflow bucket reports the highest finite bound).  A {e pure}
+    overflow bucket reports the highest finite bound), clamped to the
+    observed [[min, max]] so no quantile lies outside the observations.
+    A {e pure}
     function of the snapshot, hence deterministic whenever the recorded
     counts are.  [None] for non-histograms and empty histograms. *)
 

@@ -4,7 +4,8 @@
     transactions is accurate enough to rank kernels.  This module
     {e verifies} that claim inside the reproduction: {!profile} replays
     the emitted schedule with {!Cogent.Interp.measure} (ground-truth
-    counters: every block, every step, every guarded lane), runs the
+    counters over every block, step and guarded lane, replayed once per
+    boundary class and weighted by its multiplicity), runs the
     simulator's boundary-exact prediction
     ({!Tc_sim.Simkernel.transactions_exact}, no-L2) and the coarse
     Algorithm-3 charge sheet ({!Cogent.Cost.explain}) side by side, and

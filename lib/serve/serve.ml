@@ -198,10 +198,10 @@ let run session items =
           | exception e -> (k, Error (Crashed (Printexc.to_string e)))
         in
         (* The accuracy observatory's ground truth — the interpreter's
-           counter-only schedule replay — is the expensive part of a
-           sample, so it runs here, once per distinct key, wherever the
-           pool scheduled this search (the result is a pure function of
-           the plan, so batch output stays bit-identical at any job
+           counter-only schedule replay, one representative per boundary
+           class — runs here, once per distinct key, wherever the pool
+           scheduled this search (the result is a pure function of the
+           plan, so batch output stays bit-identical at any job
            count). *)
         let measured =
           match (session.audit, r) with

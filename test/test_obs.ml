@@ -156,9 +156,13 @@ let test_quantiles () =
   let item = List.hd (Metrics.snapshot reg) in
   let q p = Option.get (Metrics.quantile item p) in
   check (Alcotest.float 1e-9) "p50 interpolates inside (1,2]" 1.75 (q 0.5);
-  check (Alcotest.float 1e-9) "p90 interpolates inside (2,4]" 3.5 (q 0.9);
-  check (Alcotest.float 1e-9) "p0 is the floor" 0.0 (q 0.0);
-  check (Alcotest.float 1e-9) "p100 is the top finite bound" 4.0 (q 1.0);
+  check (Alcotest.float 1e-9) "p80 interpolates inside (2,4]" 3.0 (q 0.8);
+  (* p90 interpolates to 3.5 and p0/p100 to the bucket ends 0 and 4, all
+     outside the observations: they clamp to the observed [min, max] *)
+  check (Alcotest.float 1e-9) "p90 clamps to the largest observation" 3.0
+    (q 0.9);
+  check (Alcotest.float 1e-9) "p0 is the smallest observation" 0.5 (q 0.0);
+  check (Alcotest.float 1e-9) "p100 is the largest observation" 3.0 (q 1.0);
   check Alcotest.int "summary has the standard points" 3
     (List.length (Metrics.quantile_summary item));
   (* an observation beyond every finite bucket clamps to the highest
@@ -173,7 +177,14 @@ let test_quantiles () =
   check Alcotest.bool "empty histograms have no quantile" true
     (Metrics.quantile
        (Metrics.Histogram_v
-          { name = "h"; count = 0; sum = 0.0; buckets = [ (infinity, 0) ] })
+          {
+            name = "h";
+            count = 0;
+            sum = 0.0;
+            min = infinity;
+            max = neg_infinity;
+            buckets = [ (infinity, 0) ];
+          })
        0.5
     = None)
 
@@ -187,21 +198,43 @@ let test_quantile_edge_cases () =
   let q p = Option.get (Metrics.quantile item p) in
   check (Alcotest.float 1e-9) "single observation: p50 interpolates" 1.5
     (q 0.5);
-  check (Alcotest.float 1e-9) "single observation: p0 is the floor" 0.0
-    (q 0.0);
-  check (Alcotest.float 1e-9) "single observation: p100 is its bucket bound"
-    2.0 (q 1.0);
+  check (Alcotest.float 1e-9) "single observation: p0 is the observation"
+    1.5 (q 0.0);
+  check (Alcotest.float 1e-9) "single observation: p100 is the observation"
+    1.5 (q 1.0);
   let reg = Metrics.create () in
   let h = Metrics.histogram ~registry:reg ~buckets:[ 1.0; 2.0 ] "over" in
   List.iter (Metrics.observe h) [ 5.0; 6.0; 7.0 ];
   let item = List.hd (Metrics.snapshot reg) in
+  (* the overflow bucket reports the top finite bound 2.0, below every
+     observation, so the estimate clamps up to the smallest one *)
   List.iter
     (fun p ->
       check (Alcotest.float 1e-9)
         (Printf.sprintf "all mass in overflow: p%g clamps" (p *. 100.0))
-        2.0
+        5.0
         (Option.get (Metrics.quantile item p)))
     [ 0.5; 0.9; 0.99; 1.0 ]
+
+(* Bucket interpolation alone puts the p99 of three observations inside
+   (1e-3, 1e-2] at 9.91e-3, above the largest observation and even above
+   their sum; the quantile must stay inside the observed range. *)
+let test_quantile_clamped_to_observations () =
+  let reg = Metrics.create () in
+  let h = Metrics.histogram ~registry:reg "three" in
+  List.iter (Metrics.observe h) [ 0.002; 0.003; 0.004 ];
+  let item = List.hd (Metrics.snapshot reg) in
+  let q p = Option.get (Metrics.quantile item p) in
+  check (Alcotest.float 0.0) "p99 is at most the largest observation" 0.004
+    (q 0.99);
+  check Alcotest.bool "p50 lies inside the observations" true
+    (q 0.5 >= 0.002 && q 0.5 <= 0.004);
+  List.iter (Metrics.observe h) [ 0.009; 0.009 ];
+  Metrics.reset reg;
+  Metrics.observe h 0.0095;
+  let item = List.hd (Metrics.snapshot reg) in
+  check (Alcotest.float 0.0) "reset forgets the old range" 0.0095
+    (Option.get (Metrics.quantile item 0.5))
 
 (* The audit-instrument pipeline shape: model output computed on the
    pool (order-preserving), observed sequentially in request order.  The
@@ -626,6 +659,8 @@ let () =
           Alcotest.test_case "quantiles" `Quick test_quantiles;
           Alcotest.test_case "quantile edge cases" `Quick
             test_quantile_edge_cases;
+          Alcotest.test_case "quantiles clamp to observations" `Quick
+            test_quantile_clamped_to_observations;
           Alcotest.test_case "prometheus exposition" `Quick
             test_prometheus_exposition;
           Gen.to_alcotest metrics_deterministic_on_generated;

@@ -102,6 +102,176 @@ let prop_measured_eq_exact =
     ~name:"Interp.measure == Simkernel.transactions_exact (no-L2)"
     Gen.case_arbitrary agree_case
 
+(* ---- class replay == brute (block, step) replay ---- *)
+
+let pp_counters fmt (c : Interp.counters) =
+  Format.fprintf fmt
+    "tx=(%g,%g,%g) smem=%g fma=(%g,%g) store_max=%g blocks=%d steps=%d"
+    c.Interp.tx_lhs c.tx_rhs c.tx_out c.smem_bytes c.fma_padded c.fma_useful
+    c.store_tx_block_max c.blocks c.steps
+
+(* All nine fields, floats compared bit for bit. *)
+let same_counters (a : Interp.counters) (b : Interp.counters) =
+  let f x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  f a.tx_lhs b.tx_lhs && f a.tx_rhs b.tx_rhs && f a.tx_out b.tx_out
+  && f a.smem_bytes b.smem_bytes
+  && f a.fma_padded b.fma_padded
+  && f a.fma_useful b.fma_useful
+  && f a.store_tx_block_max b.store_tx_block_max
+  && a.blocks = b.blocks && a.steps = b.steps
+
+let check_vs_brute what plan =
+  let m = Interp.measure plan and b = Measure_brute.measure plan in
+  if not (same_counters m b) then
+    fail
+      (Format.asprintf "%s: class replay %a <> brute replay %a" what
+         pp_counters m pp_counters b);
+  m
+
+let prop_class_eq_brute =
+  QCheck.Test.make ~count:40
+    ~name:"class replay == brute (block, step) replay"
+    Gen.case_arbitrary (fun (c : Gen.case) ->
+      let problem = c.Gen.problem in
+      List.iter
+        (fun mapping ->
+          let plan =
+            Plan.make ~problem ~mapping ~arch:Arch.v100
+              ~precision:Precision.FP64
+          in
+          ignore
+            (check_vs_brute
+               (Format.asprintf "%a under %a" Problem.pp problem Mapping.pp
+                  mapping)
+               plan))
+        (sample_mappings problem);
+      true)
+
+let bind idx tile = { Mapping.index = idx; tile }
+
+let plan_of expr sizes mapping =
+  Plan.make
+    ~problem:(Problem.of_string_exn expr ~sizes)
+    ~mapping ~arch:Arch.v100 ~precision:Precision.FP64
+
+let gemm_mapping ta tb tc =
+  {
+    Mapping.tbx = [ bind 'a' ta ];
+    regx = [];
+    tby = [ bind 'b' tb ];
+    regy = [];
+    tbk = [ bind 'c' tc ];
+    grid = [];
+  }
+
+let test_single_partial_chunk () =
+  (* Mapping.validate caps tiles at the extent, so build the plan on a
+     valid mapping and widen its tiles past the extents afterwards: one
+     chunk per axis whose cut is a strict prefix of the tile. *)
+  let plan = plan_of "ab-ac-cb" [ ('a', 5); ('b', 3); ('c', 6) ] (gemm_mapping 4 2 4) in
+  let plan = { plan with Plan.mapping = gemm_mapping 8 4 8 } in
+  let m = check_vs_brute "extent < tile" plan in
+  check Alcotest.int "one block" 1 m.Interp.blocks;
+  check Alcotest.int "one step" 1 m.Interp.steps;
+  check (Alcotest.float 0.0) "useful FMAs" (5. *. 3. *. 6.) m.Interp.fma_useful
+
+let test_exact_multiple () =
+  let plan =
+    plan_of "ab-ac-cb" [ ('a', 16); ('b', 8); ('c', 12) ] (gemm_mapping 4 4 4)
+  in
+  let m = check_vs_brute "exact multiple" plan in
+  check Alcotest.int "blocks" 8 m.Interp.blocks;
+  check Alcotest.int "steps" 3 m.Interp.steps;
+  check (Alcotest.float 0.0) "every block stores the same" m.Interp.tx_out
+    (8. *. m.Interp.store_tx_block_max)
+
+let test_grid_index () =
+  let plan =
+    plan_of "abcd-aebf-dfce"
+      [ ('a', 6); ('b', 5); ('c', 3); ('d', 7); ('e', 3); ('f', 2) ]
+      {
+        Mapping.tbx = [ bind 'a' 4 ];
+        regx = [];
+        tby = [ bind 'd' 4 ];
+        regy = [ bind 'c' 2 ];
+        tbk = [ bind 'e' 2; bind 'f' 2 ];
+        grid = [ 'b' ];
+      }
+  in
+  let m = check_vs_brute "grid index" plan in
+  (* a: 2 chunks, d: 2, c: 2, b on the grid: 5 *)
+  check Alcotest.int "blocks" (2 * 2 * 2 * 5) m.Interp.blocks
+
+let test_two_index_tbk_remainders () =
+  let plan =
+    plan_of "abcd-aebf-dfce"
+      [ ('a', 6); ('b', 5); ('c', 4); ('d', 7); ('e', 5); ('f', 3) ]
+      {
+        Mapping.tbx = [ bind 'a' 4 ];
+        regx = [ bind 'b' 2 ];
+        tby = [ bind 'd' 4 ];
+        regy = [ bind 'c' 2 ];
+        tbk = [ bind 'e' 2; bind 'f' 2 ];
+        grid = [];
+      }
+  in
+  let m = check_vs_brute "two-index TB_k" plan in
+  check Alcotest.int "steps" (3 * 2) m.Interp.steps;
+  check (Alcotest.float 0.0) "useful FMAs" (Plan.flops plan /. 2.0)
+    m.Interp.fma_useful
+
+let test_busiest_block_interior () =
+  (* Boundary blocks store a strict prefix of the interior tile, so the
+     busiest block is an interior one: its traffic is what the same
+     mapping stores per block when every tile is full. *)
+  let mapping = gemm_mapping 4 4 2 in
+  let ragged =
+    check_vs_brute "ragged"
+      (plan_of "ab-ac-cb" [ ('a', 9); ('b', 6); ('c', 3) ] mapping)
+  in
+  let full =
+    check_vs_brute "full"
+      (plan_of "ab-ac-cb" [ ('a', 8); ('b', 4); ('c', 2) ] mapping)
+  in
+  check (Alcotest.float 0.0) "busiest block is interior"
+    full.Interp.store_tx_block_max ragged.Interp.store_tx_block_max;
+  check Alcotest.bool "boundary blocks store less" true
+    (ragged.Interp.tx_out
+    < float_of_int ragged.Interp.blocks *. ragged.Interp.store_tx_block_max)
+
+let test_measure_into_accumulates () =
+  let plan =
+    plan_of "abcd-aebf-dfce"
+      [ ('a', 6); ('b', 5); ('c', 4); ('d', 7); ('e', 5); ('f', 3) ]
+      {
+        Mapping.tbx = [ bind 'a' 4 ];
+        regx = [ bind 'b' 2 ];
+        tby = [ bind 'd' 4 ];
+        regy = [ bind 'c' 2 ];
+        tbk = [ bind 'e' 2; bind 'f' 2 ];
+        grid = [];
+      }
+  in
+  let once = Interp.measure plan in
+  let c = Interp.create_counters () in
+  Interp.measure_into c plan;
+  Interp.measure_into c plan;
+  let twice = Interp.create_counters () in
+  twice.tx_lhs <- 2.0 *. once.tx_lhs;
+  twice.tx_rhs <- 2.0 *. once.tx_rhs;
+  twice.tx_out <- 2.0 *. once.tx_out;
+  twice.smem_bytes <- 2.0 *. once.smem_bytes;
+  twice.fma_padded <- 2.0 *. once.fma_padded;
+  twice.fma_useful <- 2.0 *. once.fma_useful;
+  (* a maximum, not a sum *)
+  twice.store_tx_block_max <- once.store_tx_block_max;
+  twice.blocks <- 2 * once.blocks;
+  twice.steps <- 2 * once.steps;
+  if not (same_counters twice c) then
+    fail
+      (Format.asprintf "two calls %a <> twice one call %a" pp_counters c
+         pp_counters twice)
+
 (* execute ?counters must tally exactly what the standalone replay does,
    and fields must accumulate across executions. *)
 let test_execute_counters () =
@@ -413,6 +583,18 @@ let () =
         [
           Gen.to_alcotest prop_measured_eq_exact;
           Alcotest.test_case "execute ?counters" `Quick test_execute_counters;
+          Gen.to_alcotest prop_class_eq_brute;
+          Alcotest.test_case "class replay: extent < tile" `Quick
+            test_single_partial_chunk;
+          Alcotest.test_case "class replay: exact multiple" `Quick
+            test_exact_multiple;
+          Alcotest.test_case "class replay: grid index" `Quick test_grid_index;
+          Alcotest.test_case "class replay: two-index TB_k" `Quick
+            test_two_index_tbk_remainders;
+          Alcotest.test_case "class replay: interior busiest" `Quick
+            test_busiest_block_interior;
+          Alcotest.test_case "measure_into accumulates" `Quick
+            test_measure_into_accumulates;
         ] );
       ( "profiler",
         [
