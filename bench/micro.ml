@@ -25,6 +25,26 @@ let interp_case =
   let rhs = Dense.random ~seed:12 (shape_of orig.Tc_expr.Ast.rhs.Tc_expr.Ast.indices) in
   (problem, info, lhs, rhs)
 
+(* The first CCSD(T) triples kernel at the E(T) evaluation's toy extents
+   (nh = 3 occupied, np = 4 virtual; SD1's contracted g is occupied): many
+   small grid blocks, the per-block regime the 64-cube GEMM does not
+   exercise. *)
+let sd1_1_case =
+  let open Tc_tensor in
+  let entry = Option.get (Tc_tccg.Suite.find "sd1_1") in
+  let extent = function 'a' | 'b' | 'c' | 'g' -> 3 | _ -> 4 in
+  let problem =
+    Tc_expr.Problem.of_string_exn entry.Tc_tccg.Suite.expr
+      ~sizes:(List.map (fun (i, _) -> (i, extent i)) entry.Tc_tccg.Suite.sizes)
+  in
+  let orig = (Tc_expr.Problem.info problem).Tc_expr.Classify.original in
+  let shape_of (t : Tc_expr.Ast.tensor_ref) =
+    Shape.of_indices ~sizes:(Tc_expr.Problem.sizes problem) t.Tc_expr.Ast.indices
+  in
+  ( problem,
+    Dense.random ~seed:11 (shape_of orig.Tc_expr.Ast.lhs),
+    Dense.random ~seed:12 (shape_of orig.Tc_expr.Ast.rhs) )
+
 let staged_tests =
   let enumerate problem () = ignore (Cogent.Enumerate.enumerate problem) in
   let full problem () = ignore (Cogent.Driver.generate_exn problem) in
@@ -83,6 +103,11 @@ let staged_tests =
     let plan = Cogent.Driver.best_plan problem in
     fun () -> ignore (Cogent.Interp.execute plan ~lhs ~rhs)
   in
+  let interp_sd1_1 =
+    let problem, lhs, rhs = sd1_1_case in
+    let plan = Cogent.Driver.best_plan problem in
+    fun () -> ignore (Cogent.Interp.execute plan ~lhs ~rhs)
+  in
   let contract_ref =
     let _, info, lhs, rhs = interp_case in
     fun () ->
@@ -114,6 +139,7 @@ let staged_tests =
       (Staged.stage (emit_pipelined problem_sd2));
     Test.make ~name:"simulate/sd2_1" (Staged.stage (simulate problem_sd2));
     Test.make ~name:"interp-execute/gemm64" (Staged.stage interp_execute);
+    Test.make ~name:"interp-execute/sd1_1" (Staged.stage interp_sd1_1);
     Test.make ~name:"contract-ref/gemm64" (Staged.stage contract_ref);
     Test.make ~name:"generate-end-to-end/eq1" (Staged.stage (full problem_eq1));
     Test.make ~name:"generate-end-to-end/sd2_1" (Staged.stage (full problem_sd2));

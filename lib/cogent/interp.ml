@@ -251,6 +251,18 @@ let measure (plan : Plan.t) =
   measure_into c plan;
   c
 
+(* How [execute] stores one group of tile axes (tbx, regx, tby or regy):
+   per coordinate its local index vector and output offset, and the
+   current block's guard; [first] is the group's first block slot. *)
+type store_group = {
+  first : int;
+  tiles : int array;
+  extents : int array;
+  locals : int array array;
+  offs : int array;
+  ok : bool array;
+}
+
 let execute ?counters (plan : Plan.t) ~lhs ~rhs =
   Option.iter (fun c -> measure_into c plan) counters;
   let problem = plan.Plan.problem in
@@ -266,7 +278,8 @@ let execute ?counters (plan : Plan.t) ~lhs ~rhs =
   in
   check "lhs input" (Problem.lhs_shape problem) a;
   check "rhs input" (Problem.rhs_shape problem) b;
-  let out = Dense.create (Problem.out_shape problem) in
+  let out_shape = Problem.out_shape problem in
+  let out = Dense.create out_shape in
 
   (* Execution-space axes. *)
   let tbx = axes_of_bindings problem mapping.Mapping.tbx in
@@ -319,13 +332,12 @@ let execute ?counters (plan : Plan.t) ~lhs ~rhs =
   let regy_radices = Array.of_list (List.map (fun ax -> ax.tile) regy) in
   let tbk_radices = Array.of_list (List.map (fun ax -> ax.tile) tbk) in
 
-  (* Per-coordinate offset tables into the slabs: a thread/register/step
-     coordinate's slab offset is the dot product of its decomposed
-     multi-index with the slab strides over those axes (grid-mapped slab
-     axes sit at coordinate 0), so the inner product below adds three
-     table entries per read instead of building an [Index.Map].  Every
-     coordinate is below its axis tile — the slab extent — so the reads
-     are in range by construction and go unchecked. *)
+  (* Per-coordinate offset tables: a thread/register/step coordinate's
+     offset is the dot product of its decomposed multi-index with the
+     strides of those axes.  Into the slabs (grid-mapped slab axes sit at
+     coordinate 0) every coordinate is below its axis tile — the slab
+     extent — so the inner product's reads are in range by construction
+     and go unchecked; into the output the store guards them. *)
   let offset_table radices strides first count =
     let n = Array.length radices in
     let coords = Array.make n 0 in
@@ -355,65 +367,118 @@ let execute ?counters (plan : Plan.t) ~lhs ~rhs =
     offset_table tbk_radices sb_str (n_tby + n_regy + n_rhs_grid) space_tbk
   in
 
-  let env_add axes coords env =
-    List.fold_left
-      (fun (k, env) ax -> (k + 1, Index.Map.add ax.index coords.(k) env))
-      (0, env) axes
-    |> snd
+  (* Fill a slab from global memory with bounds guards (zero padding).
+     Each slab axis is described once by its tile, extent, operand stride
+     and the coordinate slot its chunk base comes from: a block slot for
+     the side axes, a step slot for TB_k.  The slab holds exactly the
+     operand's indices (Mapping.validate), so every axis has a stride.
+     The walk visits the slab's linear positions with an odometer over
+     its tiles (axis 0 fastest), adds up each one's global offset and
+     zeroes it when any coordinate is past its extent. *)
+  let block_slot i =
+    let rec find k = function
+      | [] -> invalid_arg "Interp.execute: foreign index"
+      | ax :: rest -> if Index.equal ax.index i then k else find (k + 1) rest
+    in
+    find 0 block_axes
   in
+  let fill slab tensor side_axes =
+    let shape = Dense.shape tensor in
+    let n_side = List.length side_axes in
+    let axes = Array.of_list (side_axes @ tbk) in
+    let rank = Array.length axes in
+    let tiles = Array.map (fun ax -> ax.tile) axes
+    and extents = Array.map (fun ax -> ax.extent) axes
+    and strides = Array.map (fun ax -> Shape.stride shape ax.index) axes
+    and slots =
+      Array.mapi
+        (fun k ax -> if k < n_side then block_slot ax.index else k - n_side)
+        axes
+    in
+    let pos = Array.make rank 0 and base = Array.make rank 0 in
+    let rec bump k =
+      if k < rank then begin
+        pos.(k) <- pos.(k) + 1;
+        if pos.(k) = tiles.(k) then begin
+          pos.(k) <- 0;
+          bump (k + 1)
+        end
+      end
+    in
+    fun bcoords scoords ->
+      for k = 0 to rank - 1 do
+        let coords = if k < n_side then bcoords else scoords in
+        base.(k) <- coords.(slots.(k)) * tiles.(k)
+      done;
+      for lin = 0 to Dense.numel slab - 1 do
+        let off = ref 0 and in_range = ref true in
+        for k = 0 to rank - 1 do
+          let g = base.(k) + pos.(k) in
+          if g >= extents.(k) then in_range := false;
+          off := !off + (g * strides.(k))
+        done;
+        Dense.unsafe_set slab lin
+          (if !in_range then Dense.unsafe_get tensor !off else 0.0);
+        bump 0
+      done
+  in
+  let fill_a = fill slab_a a side_a and fill_b = fill slab_b b side_b in
 
-  (* Fill a slab from global memory with bounds guards (zero padding). *)
-  let fill_slab slab tensor side_axes block_bases step_bases =
-    let all_axes = side_axes @ tbk in
-    Dense.iteri slab (fun pos _ ->
-        let in_range = ref true in
-        let env =
-          List.fold_left
-            (fun (k, env) ax ->
-              let base =
-                match Index.Map.find_opt ax.index block_bases with
-                | Some v -> v
-                | None -> Index.Map.find ax.index step_bases
-              in
-              let g = base + pos.(k) in
-              if g >= ax.extent then in_range := false;
-              (k + 1, Index.Map.add ax.index g env))
-            (0, Index.Map.empty) all_axes
-          |> snd
-        in
-        let v = if !in_range then Dense.get_named tensor env else 0.0 in
-        Dense.set slab pos v)
+  (* Store tables, one group each for tbx, regx, tby and regy: every
+     coordinate's local index vector and its offset into the output. *)
+  let out_strides axes =
+    Array.of_list (List.map (fun ax -> Shape.stride out_shape ax.index) axes)
   in
+  let store_group axes radices first count =
+    {
+      first;
+      tiles = radices;
+      extents = Array.of_list (List.map (fun ax -> ax.extent) axes);
+      locals = Array.init count (fun lin -> decompose lin radices);
+      offs = offset_table radices (out_strides axes) 0 count;
+      ok = Array.make count true;
+    }
+  in
+  let tx_o = store_group tbx tbx_radices 0 size_tbx
+  and rx_o = store_group regx regx_radices n_tbx space_regx
+  and ty_o = store_group tby tby_radices (n_tbx + n_regx) size_tby
+  and ry_o =
+    store_group regy regy_radices (n_tbx + n_regx + n_tby) space_regy
+  in
+  (* A block's guard for one coordinate: every axis's chunk base plus the
+     local index is below the extent. *)
+  let set_guards g bcoords =
+    for lin = 0 to Array.length g.locals - 1 do
+      let local = g.locals.(lin) and in_range = ref true in
+      for k = 0 to Array.length local - 1 do
+        if (bcoords.(g.first + k) * g.tiles.(k)) + local.(k) >= g.extents.(k)
+        then in_range := false
+      done;
+      g.ok.(lin) <- !in_range
+    done
+  in
+  let block_strides = out_strides block_axes
+  and block_tiles = Array.of_list (List.map (fun ax -> ax.tile) block_axes) in
+
+  (* Per-thread accumulators, allocated once and zeroed per block: the
+     register tile of thread (tx, ty) starts at
+     ((ty * size_tbx) + tx) * space_reg and is indexed by
+     ry * space_regx + rx, in range by construction (unchecked). *)
+  let space_reg = space_regx * space_regy in
+  let acc = Array.make (size_tbx * size_tby * space_reg) 0.0 in
 
   let bcoords = Array.make (Array.length block_radices) 0 in
   let scoords = Array.make (Array.length step_radices) 0 in
   for block = 0 to num_blocks - 1 do
     decompose_into bcoords block block_radices;
-    let block_bases =
-      List.fold_left
-        (fun (k, m) ax ->
-          (k + 1, Index.Map.add ax.index (bcoords.(k) * ax.tile) m))
-        (0, Index.Map.empty) block_axes
-      |> snd
-    in
-    (* Per-thread accumulators: acc.(ty * size_tbx + tx) is the register
-       tile, indexed by ry * space_regx + rx. *)
-    let acc =
-      Array.init (size_tbx * size_tby) (fun _ ->
-          Array.make (space_regx * space_regy) 0.0)
-    in
+    Array.fill acc 0 (Array.length acc) 0.0;
     for step = 0 to num_steps - 1 do
       decompose_into scoords step step_radices;
-      let step_bases =
-        List.fold_left
-          (fun (k, m) ax ->
-            (k + 1, Index.Map.add ax.index (scoords.(k) * ax.tile) m))
-          (0, Index.Map.empty) tbk
-        |> snd
-      in
-      fill_slab slab_a a side_a block_bases step_bases;
-      fill_slab slab_b b side_b block_bases step_bases;
-      (* The serial TB_k sweep with per-thread outer products. *)
+      fill_a bcoords scoords;
+      fill_b bcoords scoords;
+      (* The serial TB_k sweep with per-thread outer products.  Every
+         product is accumulated, zeros included, as in the emitted kernel:
+         a non-finite operand propagates exactly as it does there. *)
       for kk = 0 to space_tbk - 1 do
         let ka = Array.unsafe_get k_off_a kk
         and kb = Array.unsafe_get k_off_b kk in
@@ -421,52 +486,47 @@ let execute ?counters (plan : Plan.t) ~lhs ~rhs =
           let tyb = Array.unsafe_get ty_off_b ty + kb in
           for tx = 0 to size_tbx - 1 do
             let txa = Array.unsafe_get tx_off_a tx + ka in
-            let reg = acc.((ty * size_tbx) + tx) in
+            let reg = ((ty * size_tbx) + tx) * space_reg in
             for ry = 0 to space_regy - 1 do
-              let bval = Dense.unsafe_get slab_b (tyb + ry_off_b.(ry)) in
-              if bval <> 0.0 then
-                for rx = 0 to space_regx - 1 do
-                  let aval = Dense.unsafe_get slab_a (txa + rx_off_a.(rx)) in
-                  reg.((ry * space_regx) + rx) <-
-                    reg.((ry * space_regx) + rx) +. (aval *. bval)
-                done
+              let bval =
+                Dense.unsafe_get slab_b (tyb + Array.unsafe_get ry_off_b ry)
+              in
+              let r = reg + (ry * space_regx) in
+              for rx = 0 to space_regx - 1 do
+                let aval =
+                  Dense.unsafe_get slab_a (txa + Array.unsafe_get rx_off_a rx)
+                in
+                Array.unsafe_set acc (r + rx)
+                  (Array.unsafe_get acc (r + rx) +. (aval *. bval))
+              done
             done
           done
         done
       done
     done;
-    (* Store finalized register tiles with bounds guards. *)
+    (* Store finalized register tiles with bounds guards: one base offset
+       per block (grid axes have tile 1 and local coordinate 0, so they
+       only shift it), then the four per-coordinate guards and offsets. *)
+    let base = ref 0 in
+    for k = 0 to Array.length bcoords - 1 do
+      base := !base + (bcoords.(k) * block_tiles.(k) * block_strides.(k))
+    done;
+    set_guards tx_o bcoords;
+    set_guards rx_o bcoords;
+    set_guards ty_o bcoords;
+    set_guards ry_o bcoords;
     for ty = 0 to size_tby - 1 do
-      let tycoords = decompose ty tby_radices in
+      let oty = !base + ty_o.offs.(ty) in
       for tx = 0 to size_tbx - 1 do
-        let txcoords = decompose tx tbx_radices in
-        let reg = acc.((ty * size_tbx) + tx) in
+        let otx = oty + tx_o.offs.(tx) in
+        let reg = ((ty * size_tbx) + tx) * space_reg in
         for ry = 0 to space_regy - 1 do
-          let rycoords = decompose ry regy_radices in
+          let ory = otx + ry_o.offs.(ry) in
           for rx = 0 to space_regx - 1 do
-            let rxcoords = decompose rx regx_radices in
-            let local =
-              env_add tbx txcoords
-                (env_add regx rxcoords
-                   (env_add tby tycoords (env_add regy rycoords Index.Map.empty)))
-            in
-            let in_range = ref true in
-            let env =
-              List.fold_left
-                (fun env ax ->
-                  let base = Index.Map.find ax.index block_bases in
-                  let l =
-                    match Index.Map.find_opt ax.index local with
-                    | Some v -> v
-                    | None -> 0 (* grid index: tile 1 *)
-                  in
-                  let g = base + l in
-                  if g >= ax.extent then in_range := false;
-                  Index.Map.add ax.index g env)
-                Index.Map.empty block_axes
-            in
-            if !in_range then
-              Dense.set_named out env reg.((ry * space_regx) + rx)
+            if ty_o.ok.(ty) && tx_o.ok.(tx) && ry_o.ok.(ry) && rx_o.ok.(rx)
+            then
+              Dense.unsafe_set out (ory + rx_o.offs.(rx))
+                acc.(reg + (ry * space_regx) + rx)
           done
         done
       done

@@ -43,6 +43,19 @@ val execute :
 (** [execute plan ~lhs ~rhs] contracts the tensors given {e as written} in
     the original expression (any lhs/rhs canonicalization swap is resolved
     internally) and returns the output tensor in its declared layout.
+
+    The data path is stride-resolved: each slab axis is described once by
+    its tile, extent, operand stride and the block or step coordinate its
+    chunk base comes from, so staging walks the slab adding up global
+    offsets (zero where any coordinate is past its extent); stores add a
+    per-block base offset to per-coordinate output offsets of the tbx,
+    regx, tby and regy coordinates under one guard per coordinate.  The
+    loop nest and accumulation order are those of the emitted kernel, and
+    every product is accumulated unconditionally as there, so non-finite
+    values propagate as in the emitted kernel ([inf *. 0.] gives NaN).  The
+    per-element [Index.Map] walk this replaces is kept in the test suite as
+    this function's bit-exact oracle.
+
     When [counters] is given, the emitted schedule's memory accesses are
     replayed alongside the data pass and tallied into it, exactly as
     {!measure_into} does (the replay is value-independent, so it runs once

@@ -84,6 +84,17 @@ let reference c =
   let info = Problem.info c.problem in
   Contract_ref.contract ~out_indices:info.Classify.externals c.lhs c.rhs
 
+(* A spread of enumerated configurations for a problem: with the extents
+   in 1..6 and power-of-two tile targets, most sampled plans have partial
+   boundary tiles on several axes. *)
+let sample_mappings problem =
+  match Cogent.Enumerate.enumerate problem with
+  | [] -> []
+  | all ->
+      let n = List.length all in
+      List.sort_uniq compare [ 0; n / 2; n - 1 ]
+      |> List.map (fun k -> List.nth all k)
+
 (* Fixed seed: property tests must be reproducible across runs. *)
 let to_alcotest t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t

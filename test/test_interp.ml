@@ -1,7 +1,9 @@
 (* The plan interpreter executes exactly the schedule the CUDA generator
    emits; agreement with the reference contraction on adversarial cases
    (non-divisible tiles, swapped operands, grid-mapped externals, empty
-   register tiles) validates the code-generation schema itself. *)
+   register tiles) validates the code-generation schema itself.  Every
+   fixed case is also held bit for bit to the per-element Index.Map data
+   path the interpreter replaced ({!Execute_brute}). *)
 
 open Tc_tensor
 open Tc_gpu
@@ -11,6 +13,20 @@ open Cogent
 let fail = Alcotest.fail
 
 let b idx tile = { Mapping.index = idx; tile }
+
+let same_bits x y =
+  Shape.equal (Dense.shape x) (Dense.shape y)
+  && Array.for_all2
+       (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+       (Dense.unsafe_data x) (Dense.unsafe_data y)
+
+let check_vs_brute what plan ~lhs ~rhs =
+  let got = Interp.execute plan ~lhs ~rhs
+  and want = Execute_brute.execute plan ~lhs ~rhs in
+  if not (same_bits got want) then
+    fail
+      (Format.asprintf "%s: stride-resolved path differs from the oracle (%.3e)"
+         what (Dense.max_abs_diff got want))
 
 let run_case ~expr ~sizes ~mapping =
   let problem = Problem.of_string_exn expr ~sizes in
@@ -30,7 +46,8 @@ let run_case ~expr ~sizes ~mapping =
     fail
       (Format.asprintf "interp mismatch (%.3e) for %s under %a"
          (Dense.max_abs_diff expected got)
-         expr Mapping.pp mapping)
+         expr Mapping.pp mapping);
+  check_vs_brute expr plan ~lhs ~rhs
 
 let test_gemm_exact_tiles () =
   run_case ~expr:"ab-ac-cb" ~sizes:[ ('a', 16); ('b', 16); ('c', 8) ]
@@ -151,6 +168,20 @@ let test_tile_bigger_than_remainder () =
         grid = [];
       }
 
+let test_two_index_tbk_remainders () =
+  (* e = 5 and f = 3 under tile 2: a remainder chunk on both TB_k axes *)
+  run_case ~expr:"abcd-aebf-dfce"
+    ~sizes:[ ('a', 6); ('b', 5); ('c', 4); ('d', 7); ('e', 5); ('f', 3) ]
+    ~mapping:
+      {
+        Mapping.tbx = [ b 'a' 4 ];
+        regx = [ b 'b' 2 ];
+        tby = [ b 'd' 4 ];
+        regy = [ b 'c' 3 ];
+        tbk = [ b 'e' 2; b 'f' 2 ];
+        grid = [];
+      }
+
 let test_shape_mismatch_rejected () =
   let problem =
     Problem.of_string_exn "ab-ac-cb" ~sizes:[ ('a', 4); ('b', 4); ('c', 4) ]
@@ -173,6 +204,122 @@ let test_shape_mismatch_rejected () =
   match Interp.execute plan ~lhs:bad ~rhs with
   | exception Invalid_argument _ -> ()
   | _ -> fail "shape mismatch accepted"
+
+let test_inf_times_zero_propagates () =
+  (* The emitted kernel multiplies unconditionally, so an inf meeting a
+     zero yields NaN exactly where the reference has one: A[a=0,c=0] = inf
+     against a zero row B[c=0,b] poisons the whole output row a = 0. *)
+  let sizes = [ ('a', 4); ('b', 4); ('c', 4) ] in
+  let problem = Problem.of_string_exn "ab-ac-cb" ~sizes in
+  let lhs = Dense.random ~seed:11 (Shape.make [ ('a', 4); ('c', 4) ]) in
+  let rhs = Dense.random ~seed:12 (Shape.make [ ('c', 4); ('b', 4) ]) in
+  Dense.set lhs [| 0; 0 |] Float.infinity;
+  for j = 0 to 3 do
+    Dense.set rhs [| 0; j |] 0.0
+  done;
+  let expected = Contract_ref.contract ~out_indices:[ 'a'; 'b' ] lhs rhs in
+  if not (Float.is_nan (Dense.get expected [| 0; 0 |])) then
+    fail "reference does not produce NaN";
+  List.iter
+    (fun t ->
+      let mapping =
+        {
+          Mapping.tbx = [ b 'a' t ];
+          regx = [];
+          tby = [ b 'b' t ];
+          regy = [];
+          tbk = [ b 'c' t ];
+          grid = [];
+        }
+      in
+      let plan =
+        Plan.make ~problem ~mapping ~arch:Arch.v100 ~precision:Precision.FP64
+      in
+      let got = Interp.execute plan ~lhs ~rhs in
+      Dense.iteri expected (fun pos e ->
+          let g = Dense.get got pos in
+          if Float.is_nan e <> Float.is_nan g then
+            fail
+              (Printf.sprintf "tile %d: C[%d,%d] = %g, reference %g" t pos.(0)
+                 pos.(1) g e);
+          if (not (Float.is_nan e)) && Float.abs (e -. g) > 1e-9 then
+            fail (Printf.sprintf "tile %d: finite entry differs" t)))
+    [ 4; 3 ]
+
+let operands problem =
+  let orig = (Problem.info problem).Classify.original in
+  let shape_of indices =
+    Shape.of_indices ~sizes:(Problem.sizes problem) indices
+  in
+  ( Dense.random ~seed:21 (shape_of orig.Ast.lhs.Ast.indices),
+    Dense.random ~seed:22 (shape_of orig.Ast.rhs.Ast.indices) )
+
+let test_brute_extent_below_tile () =
+  (* Mapping.validate caps tiles at the extent, so widen the tiles of a
+     valid plan afterwards: one chunk per axis, each a strict prefix. *)
+  let sizes = [ ('a', 5); ('b', 3); ('c', 6) ] in
+  let problem = Problem.of_string_exn "ab-ac-cb" ~sizes in
+  let gemm ta tb tc =
+    {
+      Mapping.tbx = [ b 'a' ta ];
+      regx = [];
+      tby = [ b 'b' tb ];
+      regy = [];
+      tbk = [ b 'c' tc ];
+      grid = [];
+    }
+  in
+  let plan =
+    Plan.make ~problem ~mapping:(gemm 4 2 4) ~arch:Arch.v100
+      ~precision:Precision.FP64
+  in
+  let plan = { plan with Plan.mapping = gemm 8 4 8 } in
+  let lhs, rhs = operands problem in
+  check_vs_brute "extent < tile" plan ~lhs ~rhs
+
+let test_brute_triples () =
+  (* The 18 CCSD(T) triples kernels at nh = 3, np = 4 under the plans the
+     E(T) evaluation runs: h-indices a, b, c are occupied, the contracted
+     g is occupied in SD1 and virtual in SD2. *)
+  let nh = 3 and np = 4 in
+  let at ~occupied (e : Tc_tccg.Suite.entry) =
+    let extent = function
+      | 'a' | 'b' | 'c' -> nh
+      | 'g' -> if occupied then nh else np
+      | _ -> np
+    in
+    ( e.Tc_tccg.Suite.name,
+      Problem.of_string_exn e.Tc_tccg.Suite.expr
+        ~sizes:(List.map (fun (i, _) -> (i, extent i)) e.Tc_tccg.Suite.sizes)
+    )
+  in
+  let kernels =
+    List.map (at ~occupied:true)
+      (Tc_tccg.Suite.by_group Tc_tccg.Suite.Ccsd_t_sd1)
+    @ List.map (at ~occupied:false)
+        (Tc_tccg.Suite.by_group Tc_tccg.Suite.Ccsd_t_sd2)
+  in
+  Alcotest.(check int) "18 kernels" 18 (List.length kernels);
+  List.iter
+    (fun (name, problem) ->
+      let lhs, rhs = operands problem in
+      check_vs_brute name (Driver.best_plan problem) ~lhs ~rhs)
+    kernels
+
+let interp_matches_brute =
+  QCheck.Test.make ~count:60 ~name:"interp == Index.Map oracle (bit for bit)"
+    Gen.case_arbitrary (fun c ->
+      let problem = c.Gen.problem in
+      List.iter
+        (fun mapping ->
+          check_vs_brute
+            (Format.asprintf "%a under %a" Problem.pp problem Mapping.pp
+               mapping)
+            (Plan.make ~problem ~mapping ~arch:Arch.v100
+               ~precision:Precision.FP64)
+            ~lhs:c.Gen.lhs ~rhs:c.Gen.rhs)
+        (Gen.sample_mappings problem);
+      true)
 
 (* The strongest property in the repository: for random contractions, the
    plan COGENT itself selects executes to exactly the reference result. *)
@@ -232,8 +379,19 @@ let () =
             test_internal_fvi_inputs;
           Alcotest.test_case "boundary remainder tiles" `Quick
             test_tile_bigger_than_remainder;
+          Alcotest.test_case "two-index TB_k remainders" `Quick
+            test_two_index_tbk_remainders;
           Alcotest.test_case "shape mismatch rejected" `Quick
             test_shape_mismatch_rejected;
+          Alcotest.test_case "inf x 0 propagates as NaN" `Quick
+            test_inf_times_zero_propagates;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "extent < tile" `Quick
+            test_brute_extent_below_tile;
+          Alcotest.test_case "18 triples kernels" `Quick test_brute_triples;
+          Gen.to_alcotest interp_matches_brute;
         ] );
       ( "properties",
         [

@@ -54,17 +54,6 @@ let test_txcount_guard_gap_splits_segment () =
 
 (* ---- measured counters == simulator-exact prediction ---- *)
 
-(* A spread of enumerated configurations for a problem: with Gen's extents
-   in 1..6 and power-of-two tile targets, most sampled plans have partial
-   boundary tiles on several axes. *)
-let sample_mappings problem =
-  match Enumerate.enumerate problem with
-  | [] -> []
-  | all ->
-      let n = List.length all in
-      List.sort_uniq compare [ 0; n / 2; n - 1 ]
-      |> List.map (fun k -> List.nth all k)
-
 let agree_case (c : Gen.case) =
   let problem = c.Gen.problem in
   List.iter
@@ -94,7 +83,7 @@ let agree_case (c : Gen.case) =
       if m.Interp.fma_padded < m.Interp.fma_useful then
         QCheck.Test.fail_reportf "padded FMA slots below useful FMAs for %a"
           Problem.pp problem)
-    (sample_mappings problem);
+    (Gen.sample_mappings problem);
   true
 
 let prop_measured_eq_exact =
@@ -144,7 +133,7 @@ let prop_class_eq_brute =
                (Format.asprintf "%a under %a" Problem.pp problem Mapping.pp
                   mapping)
                plan))
-        (sample_mappings problem);
+        (Gen.sample_mappings problem);
       true)
 
 let bind idx tile = { Mapping.index = idx; tile }

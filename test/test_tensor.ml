@@ -97,9 +97,9 @@ let test_dense_bounds () =
 let test_dense_named_access () =
   let t = Dense.create (shape [ ('a', 3); ('b', 4) ]) in
   let env = Index.Map.of_seq (List.to_seq [ ('a', 2); ('b', 3); ('z', 9) ]) in
-  Dense.set_named t env 5.0;
-  check (Alcotest.float 0.0) "named get" 5.0 (Dense.get_named t env);
-  Dense.add_named t env 1.5;
+  Execute_brute.set_named t env 5.0;
+  check (Alcotest.float 0.0) "named get" 5.0 (Execute_brute.get_named t env);
+  Execute_brute.add_named t env 1.5;
   check (Alcotest.float 0.0) "named add" 6.5 (Dense.get t [| 2; 3 |])
 
 let test_dense_init_iteri () =
